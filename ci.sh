@@ -20,6 +20,22 @@ step() {
     "$@"
 }
 
+# End-to-end benchmark smoke: one untraced second of every perfbench
+# workload. The last output line is the run's JSON verdict; it must say
+# "correct": true and "failed": 0.
+perfbench_smoke() {
+    local w last
+    for w in lan_orset split_heal_counter gossip50_lww multi_mix_composed; do
+        last=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+            --workload "$w" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+        echo "$w: $last"
+        if ! grep -qF '"correct": true' <<<"$last" || ! grep -qF '"failed": 0,' <<<"$last"; then
+            echo "perfbench $w: not correct, or some operations failed" >&2
+            return 1
+        fi
+    done
+}
+
 step cargo fmt --all -- --check
 step cargo clippy --offline --workspace --all-targets -- -D warnings
 # Docs are a checked contract: missing docs (under the crates'
@@ -60,6 +76,9 @@ step cargo bench --offline --bench runtime_throughput -- --quick --save "$PWD/BE
 # live configs pin the O(window) retention claim per commit via
 # BENCH_monitor_streaming.json.
 step cargo bench --offline --bench monitor_streaming -- --quick --save "$PWD/BENCH_monitor_streaming.json"
+# perfbench is a package of its own, so no step above builds it; this one
+# does, and fails if any workload reports a wrong result.
+step perfbench_smoke
 # Observability smoke: the traced multi_mix + sharded-search example with
 # recording on. The example itself validates both JSON artifacts with the
 # strict ral-obs parser before writing them, so a malformed trace fails
@@ -82,4 +101,4 @@ step cargo run --offline --release -p ral-fuzz -- --broken --seed 1 --runs 10 --
 step cargo run --offline --release -p ral-analyze -- --report "$PWD/ANALYZE_report.json"
 
 echo
-echo "CI green: fmt, clippy, docs, build, examples, tests, benches, fuzz smoke, analyze gate all pass offline."
+echo "CI green: fmt, clippy, docs, build, examples, tests, benches, perfbench smoke, fuzz smoke, analyze gate all pass offline."

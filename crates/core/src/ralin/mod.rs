@@ -33,17 +33,18 @@
 //!   factorially slower, kept as the independent ground truth the
 //!   property suites cross-check the memoized engine against, and the
 //!   only complete engine for non-`Sync` specifications;
-//! * [`Monitor`] (module [`monitor`]) is the *incremental* core the batch
-//!   entry points are rebased on: a per-event
-//!   `advance(op | delivery) → Verdict` that extends live configuration
-//!   frontiers instead of re-searching, with a causal-stability rule
-//!   that settles ops below every replica's seen-frontier and compacts
-//!   retained state to O(concurrent window) — this is what lets the
-//!   simulator verify million-op runs continuously.
+//! * [`Monitor`] (module [`monitor`]) is the *incremental* core: a
+//!   per-event `advance(op | delivery) → Verdict` that extends live
+//!   configuration frontiers instead of re-searching, with a
+//!   causal-stability rule that settles ops below every replica's
+//!   seen-frontier and compacts retained state to O(concurrent window) —
+//!   this is what lets the simulator verify million-op runs continuously.
 //!
-//! The `ra_search*` facades run the monitor's exact batch closure first
-//! and fall back to the depth-first memoized engine when the closure
-//! overruns its caps; verdicts (and witnesses) agree on every history.
+//! The `ra_search*` facades decide finished histories depth-first with
+//! the memoized engine. The monitor's level-ordered batch closure
+//! ([`try_search_batch`]) is kept as an independent cross-check engine:
+//! it returns the same lexicographically least witness, but materializes
+//! whole levels of configurations, so it gives up past its caps.
 
 mod brute;
 mod check;
@@ -189,9 +190,12 @@ where
 }
 
 /// Applies a query-update rewriting and then decides RA-linearizability
-/// outright — the complete decision procedure for Definition 3.7, run on
-/// the memoized engine ([`memo`]) with `RAL_CHECK_THREADS`-controlled
-/// parallelism. Use [`ra_search_brute`] to force the naive enumeration.
+/// outright — the complete decision procedure for Definition 3.7, run
+/// depth-first on the memoized engine ([`memo`]) with
+/// `RAL_CHECK_THREADS`-controlled parallelism. The witness is the
+/// lexicographically least linearization, the one [`try_search_batch`]'s
+/// level-ordered closure also returns. Use [`ra_search_brute`] to force
+/// the naive enumeration.
 ///
 /// # Examples
 ///
@@ -238,7 +242,7 @@ where
     S::Label: Sync,
 {
     let rewritten = rewrite_history(h, rw);
-    monitor::search_batch_with_stats(&rewritten.history, spec, u64::MAX, memo::env_threads()).0
+    search(&rewritten.history, spec)
 }
 
 /// [`ra_search`], also returning the engine's [`SearchStats`]
@@ -257,7 +261,7 @@ where
     S::Label: Sync,
 {
     let rewritten = rewrite_history(h, rw);
-    monitor::search_batch_with_stats(&rewritten.history, spec, u64::MAX, memo::env_threads())
+    search_with_threads_stats(&rewritten.history, spec, u64::MAX, memo::env_threads())
 }
 
 /// [`ra_search`] with a node budget: the memoized engine explores at most
@@ -276,7 +280,7 @@ where
     S::Label: Sync,
 {
     let rewritten = rewrite_history(h, rw);
-    monitor::search_batch_with_stats(&rewritten.history, spec, budget, memo::env_threads()).0
+    search_with_budget(&rewritten.history, spec, budget)
 }
 
 /// [`ra_search`] for composed histories, decided per object: rewrite,

@@ -1,6 +1,6 @@
 //! Streaming online RA-linearizability monitor — one incremental
-//! configuration-frontier core serving both the batch search entry points
-//! and continuous per-event verification.
+//! configuration-frontier core serving continuous per-event verification
+//! and a level-ordered batch closure kept as a cross-check engine.
 //!
 //! The memoized batch search ([`super::memo`]) and the sharded search
 //! ([`super::sharded`]) each privately maintain the same machinery: a
@@ -19,15 +19,18 @@
 //! level-ordered closure over the configuration DAG ([`try_search_batch`]).
 //! Dedup merging keeps the lexicographically smallest placement order per
 //! configuration, so a witness, when one exists, is *identical* to the one
-//! the depth-first memoized search returns. The facades `ra_search` /
-//! `ra_search_sharded` are rebased on this path, falling back to
-//! [`super::memo`] when the closure overruns its caps.
+//! the depth-first memoized search returns. The `ra_search*` facades do
+//! not use it: finished histories are decided depth-first by
+//! [`super::memo`], which needs no materialized levels. The closure is an
+//! independent engine for cross-checks (`ral_verify::crosscheck`).
 //!
 //! **Streaming** mode consumes an open-ended op/delivery stream. The live
 //! configuration set `R` is kept *eagerly closed*: every configuration
 //! reachable by placing known operations is materialized (deduplicated by
 //! canonical key), so a verdict is maintained after every event with no
-//! re-search.
+//! re-search. Configurations share their spec state sets copy-on-write
+//! and cache each set's canonical hash, so a child that places an op
+//! copies and rehashes only the sets that op advances.
 //!
 //! # Causal stability
 //!
@@ -57,8 +60,8 @@
 
 use std::collections::HashMap;
 use std::marker::PhantomData;
+use std::sync::Arc;
 
-use super::memo::{self, SearchStats};
 use super::{Linearization, SearchOutcome};
 use crate::bitset::BitSet;
 use crate::history::{History, Parts};
@@ -206,24 +209,6 @@ pub struct MonitorStats {
     pub peak_live_window: u64,
 }
 
-impl MonitorStats {
-    /// Projects the monitor counters onto the batch-search stats shape so
-    /// the rebased `ra_search*` facades keep reporting [`SearchStats`].
-    fn to_search_stats(&self) -> SearchStats {
-        SearchStats {
-            nodes_expanded: self.expansions,
-            memo_hits: self.dedup_hits,
-            memo_entries: self.live_configs,
-            prune_frontier_death: self.prune_frontier_death,
-            prune_query_unjustified: self.prune_query_unjustified,
-            prune_dead_pending_query: self.prune_dead_pending_query,
-            branches: 1,
-            threads: 1,
-            ..SearchStats::default()
-        }
-    }
-}
-
 /// Emits the streaming counters to [`ral_obs`]. Called once per run (the
 /// hot path stays observability-free, like the batch walkers).
 fn emit_monitor_obs(stats: &MonitorStats) {
@@ -270,9 +255,44 @@ struct OpMeta<S: Spec> {
     watchers: Vec<usize>,
 }
 
+/// A duplicate-free spec state set shared between configurations, with its
+/// canonical hash ([`states_canonical_hash`]) cached. A child clones the
+/// `Arc` and builds a fresh set only when it advances this one.
+#[derive(Debug)]
+struct StateSet<St> {
+    states: Arc<Vec<St>>,
+    hash: u64,
+}
+
+impl<St> Clone for StateSet<St> {
+    fn clone(&self) -> Self {
+        StateSet {
+            states: Arc::clone(&self.states),
+            hash: self.hash,
+        }
+    }
+}
+
+impl<St: PartialEq> StateSet<St> {
+    fn new<S: Spec<State = St>>(spec: &S, states: Vec<St>) -> Self {
+        let hash = states_canonical_hash(spec, &states);
+        StateSet {
+            states: Arc::new(states),
+            hash,
+        }
+    }
+
+    /// Set equality: a shared set is equal to itself, and equal sets
+    /// always hash alike.
+    fn same(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.states, &other.states)
+            || (self.hash == other.hash && states_set_eq(&self.states, &other.states))
+    }
+}
+
 /// One live configuration: a placement of a subset of the known ops,
 /// closed under visibility, with the state needed to extend it.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Config<St> {
     /// Window-relative placement mask: bit `i - base` set iff op `i` is
     /// placed. Words below the settled base are compacted away.
@@ -281,10 +301,10 @@ struct Config<St> {
     /// the configuration is complete).
     placed: usize,
     /// Spec states after the update projection of the placement order.
-    frontier: Vec<St>,
+    frontier: Arc<Vec<St>>,
     /// Streaming: states after replaying the settled placement-order
     /// prefix — the base every *future* query's justification starts from.
-    qbase: Vec<St>,
+    qbase: StateSet<St>,
     /// Streaming: placed updates not yet absorbed into `qbase`, in
     /// placement order (absolute ids).
     rem: Vec<usize>,
@@ -292,7 +312,7 @@ struct Config<St> {
     /// Batch mode stores only *started* queries (some visible update
     /// placed), matching the memoized search; streaming mode registers
     /// every pending query at arrival.
-    qfronts: Vec<(usize, Vec<St>)>,
+    qfronts: Vec<(usize, StateSet<St>)>,
     /// Batch mode: the placement order, for witness extraction. Dedup
     /// merging keeps the lexicographically smallest, so the batch closure
     /// returns exactly the witness the depth-first search would.
@@ -311,13 +331,6 @@ enum Prune {
 /// Default cap on live configurations in streaming mode before the monitor
 /// declares [`Verdict::Exhausted`].
 const DEFAULT_MAX_LIVE_CONFIGS: usize = 1 << 14;
-
-/// Expansion cap for the batch closure before `ra_search` falls back to
-/// the depth-first memoized engine.
-const BATCH_EXPANSIONS: u64 = 1 << 16;
-
-/// Live-configuration cap for the batch closure before fallback.
-const BATCH_CONFIGS: usize = 1 << 16;
 
 /// The incremental RA-linearizability engine.
 ///
@@ -401,7 +414,20 @@ pub struct Monitor<S: Spec> {
 
 /// Bits `lo..hi` of `mask` are all set.
 fn range_all_set(mask: &[u64], lo: usize, hi: usize) -> bool {
-    (lo..hi).all(|b| mask[b / 64] & (1 << (b % 64)) != 0)
+    if lo >= hi {
+        return true;
+    }
+    let (first, last) = (lo / 64, (hi - 1) / 64);
+    (first..=last).all(|w| {
+        let mut want = !0u64;
+        if w == first {
+            want &= !0u64 << (lo % 64);
+        }
+        if w == last {
+            want &= !0u64 >> (63 - (hi - 1) % 64);
+        }
+        mask[w] & want == want
+    })
 }
 
 /// Every predecessor at or above the window base is placed in `mask`.
@@ -424,17 +450,17 @@ fn configs_equal<St: PartialEq>(batch: bool, a: &Config<St>, b: &Config<St>) -> 
         return false;
     }
     if batch {
-        if !states_set_eq(&a.frontier, &b.frontier) {
+        if !Arc::ptr_eq(&a.frontier, &b.frontier) && !states_set_eq(&a.frontier, &b.frontier) {
             return false;
         }
-    } else if a.rem != b.rem || !states_set_eq(&a.qbase, &b.qbase) {
+    } else if a.rem != b.rem || !a.qbase.same(&b.qbase) {
         return false;
     }
     a.qfronts.len() == b.qfronts.len()
         && a.qfronts
             .iter()
             .zip(&b.qfronts)
-            .all(|(x, y)| x.0 == y.0 && states_set_eq(&x.1, &y.1))
+            .all(|(x, y)| x.0 == y.0 && x.1.same(&y.1))
 }
 
 impl<S: Spec> Monitor<S> {
@@ -458,8 +484,8 @@ impl<S: Spec> Monitor<S> {
             let mut root = Config {
                 mask: Vec::new(),
                 placed: 0,
-                frontier: vec![m.spec.initial()],
-                qbase: vec![m.spec.initial()],
+                frontier: Arc::new(vec![m.spec.initial()]),
+                qbase: StateSet::new(&m.spec, vec![m.spec.initial()]),
                 rem: Vec::new(),
                 qfronts: Vec::new(),
                 order: Vec::new(),
@@ -554,7 +580,8 @@ impl<S: Spec> Monitor<S> {
             return self.verdict;
         }
         if is_query {
-            // Register as a watcher of every visible unsettled update.
+            // Register as a watcher of every visible unsettled update
+            // (settled ones are placed everywhere and never consulted).
             let meta_base = self.meta_base;
             let blocks = preds.blocks();
             for (j, &word) in blocks.iter().enumerate().skip(self.base / 64) {
@@ -562,7 +589,7 @@ impl<S: Spec> Monitor<S> {
                 while bits != 0 {
                     let u = j * 64 + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    if u >= self.base && !self.meta[u - meta_base].is_query {
+                    if u >= self.watermark && !self.meta[u - meta_base].is_query {
                         self.meta[u - meta_base].watchers.push(id);
                     }
                 }
@@ -636,35 +663,33 @@ impl<S: Spec> Monitor<S> {
             .preds
             .take()
             .expect("preds retained for live ops");
+        let (spec, meta, meta_base) = (&self.spec, &self.meta, self.meta_base);
         let label_missing = "label retained inside the live window";
-        let mut kept = Vec::with_capacity(self.configs.len());
-        let mut pruned = 0u64;
-        for mut c in std::mem::take(&mut self.configs) {
-            let mut states = c.qbase.clone();
-            let mut dead = false;
+        let before = self.configs.len();
+        self.configs.retain_mut(|c| {
+            // `None` while nothing visible is replayed: the query then
+            // starts from (and shares) the base states.
+            let mut states: Option<Vec<S::State>> = None;
             for &u in &c.rem {
                 if u < vis_floor || preds.contains(u) {
-                    let lbl = self.meta[u - self.meta_base]
-                        .label
-                        .as_ref()
-                        .expect(label_missing);
-                    states = advance_states(&self.spec, &states, lbl);
-                    if states.is_empty() {
-                        dead = true;
-                        break;
+                    let lbl = meta[u - meta_base].label.as_ref().expect(label_missing);
+                    let next =
+                        advance_states(spec, states.as_deref().unwrap_or(&c.qbase.states), lbl);
+                    if next.is_empty() {
+                        return false;
                     }
+                    states = Some(next);
                 }
             }
-            if dead {
-                pruned += 1;
-                continue;
-            }
-            c.qfronts.push((q, states));
-            kept.push(c);
-        }
+            let set = match states {
+                None => c.qbase.clone(),
+                Some(states) => StateSet::new(spec, states),
+            };
+            c.qfronts.push((q, set));
+            true
+        });
         self.meta[q - self.meta_base].preds = Some(preds);
-        self.stats.prune_dead_pending_query += pruned;
-        self.configs = kept;
+        self.stats.prune_dead_pending_query += (before - self.configs.len()) as u64;
         self.rebuild_index();
         if self.configs.is_empty() {
             self.fail(Verdict::Violated);
@@ -689,8 +714,18 @@ impl<S: Spec> Monitor<S> {
                 return;
             }
             self.stats.expansions += 1;
-            for x in self.base..self.n {
-                self.try_extend(idx, x);
+            // Candidates are the window's unplaced ops, in ascending order.
+            let window = self.n - self.base;
+            for w in 0..window.div_ceil(64) {
+                let mut free = !self.configs[idx].mask[w];
+                if (w + 1) * 64 > window {
+                    free &= (1u64 << (window % 64)) - 1;
+                }
+                while free != 0 {
+                    let x = self.base + w * 64 + free.trailing_zeros() as usize;
+                    free &= free - 1;
+                    self.try_extend(idx, x);
+                }
             }
             idx += 1;
         }
@@ -737,7 +772,7 @@ impl<S: Spec> Monitor<S> {
         let placed = p.placed + 1;
         let mut child = if m.is_query {
             let justified = match p.qfronts.binary_search_by_key(&x, |e| e.0) {
-                Ok(i) => states_admit(&self.spec, &p.qfronts[i].1, label),
+                Ok(i) => states_admit(&self.spec, &p.qfronts[i].1.states, label),
                 Err(_) => {
                     debug_assert!(batch, "streaming query frontiers exist from arrival");
                     states_admit(&self.spec, &[self.spec.initial()], label)
@@ -749,7 +784,7 @@ impl<S: Spec> Monitor<S> {
             Config {
                 mask,
                 placed,
-                frontier: p.frontier.clone(),
+                frontier: Arc::clone(&p.frontier),
                 qbase: p.qbase.clone(),
                 rem: p.rem.clone(),
                 qfronts: p.qfronts.iter().filter(|e| e.0 != x).cloned().collect(),
@@ -772,11 +807,11 @@ impl<S: Spec> Monitor<S> {
                 }
                 match qfronts.binary_search_by_key(&q, |e| e.0) {
                     Ok(i) => {
-                        let next = advance_states(&self.spec, &qfronts[i].1, label);
+                        let next = advance_states(&self.spec, &qfronts[i].1.states, label);
                         if next.is_empty() {
                             return Err(Prune::DeadPendingQuery);
                         }
-                        qfronts[i].1 = next;
+                        qfronts[i].1 = StateSet::new(&self.spec, next);
                     }
                     Err(i) => {
                         debug_assert!(batch, "streaming query frontiers exist from arrival");
@@ -784,7 +819,7 @@ impl<S: Spec> Monitor<S> {
                         if next.is_empty() {
                             return Err(Prune::DeadPendingQuery);
                         }
-                        qfronts.insert(i, (q, next));
+                        qfronts.insert(i, (q, StateSet::new(&self.spec, next)));
                     }
                 }
             }
@@ -795,7 +830,7 @@ impl<S: Spec> Monitor<S> {
             Config {
                 mask,
                 placed,
-                frontier,
+                frontier: Arc::new(frontier),
                 qbase: p.qbase.clone(),
                 rem,
                 qfronts,
@@ -813,7 +848,9 @@ impl<S: Spec> Monitor<S> {
     }
 
     /// Canonical key of a configuration. Trailing zero mask words are
-    /// skipped so streaming windows can grow without rekeying.
+    /// skipped so streaming windows can grow without rekeying. Streaming
+    /// keys fold only cached hashes; batch keys hash the frontier here,
+    /// once per configuration.
     fn config_key(&self, c: &Config<S::State>) -> u64 {
         let mut key = CONFIG_KEY_SEED;
         let tail = c.mask.iter().rposition(|&w| w != 0).map_or(0, |i| i + 1);
@@ -825,14 +862,14 @@ impl<S: Spec> Monitor<S> {
                 key = fold_frontier_hash(key, states_canonical_hash(&self.spec, &c.frontier));
             }
             Mode::Streaming => {
-                key = fold_frontier_hash(key, states_canonical_hash(&self.spec, &c.qbase));
+                key = fold_frontier_hash(key, c.qbase.hash);
                 for &u in &c.rem {
                     key = mix64(key ^ (u as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
                 }
             }
         }
-        for (q, states) in &c.qfronts {
-            key = fold_query_frontier(key, *q, states_canonical_hash(&self.spec, states));
+        for (q, set) in &c.qfronts {
+            key = fold_query_frontier(key, *q, set.hash);
         }
         key
     }
@@ -873,22 +910,15 @@ impl<S: Spec> Monitor<S> {
     /// mask words and metadata out of the live window.
     fn settle(&mut self, wm: usize) {
         debug_assert!(wm > self.watermark && wm <= self.n);
-        let lo = self.watermark - self.base;
+        let old_wm = self.watermark;
+        let lo = old_wm - self.base;
         let hi = wm - self.base;
         self.watermark = wm;
         self.stats.settled = wm as u64;
         self.stats.live_window = (self.n - wm) as u64;
-        let mut kept = Vec::with_capacity(self.configs.len());
-        let mut pruned = 0u64;
-        for c in std::mem::take(&mut self.configs) {
-            if range_all_set(&c.mask, lo, hi) {
-                kept.push(c);
-            } else {
-                pruned += 1;
-            }
-        }
-        self.stats.prune_unsettled += pruned;
-        self.configs = kept;
+        let before = self.configs.len();
+        self.configs.retain(|c| range_all_set(&c.mask, lo, hi));
+        self.stats.prune_unsettled += (before - self.configs.len()) as u64;
         if self.configs.is_empty() {
             self.fail(Verdict::Violated);
             return;
@@ -896,21 +926,27 @@ impl<S: Spec> Monitor<S> {
         // Absorb each configuration's settled placement prefix into its
         // base states; stragglers (settled ops placed after a still-live
         // one) stay in `rem` and are bounded by the concurrent window.
-        let label_missing = "label retained for unabsorbed placements";
-        for i in 0..self.configs.len() {
-            let k = self.configs[i].rem.iter().take_while(|&&u| u < wm).count();
-            for j in 0..k {
-                let u = self.configs[i].rem[j];
-                let lbl = self.meta[u - self.meta_base]
-                    .label
-                    .as_ref()
-                    .expect(label_missing);
-                let next = advance_states(&self.spec, &self.configs[i].qbase, lbl);
-                debug_assert!(!next.is_empty(), "absorbed prefix replays a live frontier");
-                self.configs[i].qbase = next;
-            }
-            if k > 0 {
-                self.configs[i].rem.drain(..k);
+        // Configurations sharing base states and prefix share the result.
+        let absorbed: Vec<_> = {
+            let mut shared = HashMap::new();
+            self.configs
+                .iter()
+                .map(|c| {
+                    let k = c.rem.iter().take_while(|&&u| u < wm).count();
+                    (k > 0).then(|| {
+                        let prefix = &c.rem[..k];
+                        let set = shared
+                            .entry((Arc::as_ptr(&c.qbase.states), prefix))
+                            .or_insert_with(|| self.absorb(&c.qbase.states, prefix));
+                        (k, set.clone())
+                    })
+                })
+                .collect()
+        };
+        for (c, a) in self.configs.iter_mut().zip(absorbed) {
+            if let Some((k, set)) = a {
+                c.qbase = set;
+                c.rem.drain(..k);
             }
         }
         // Compact whole settled words out of the window.
@@ -936,12 +972,9 @@ impl<S: Spec> Monitor<S> {
                 self.meta_base = keep_from;
             }
         }
-        // Settled ops are placed everywhere: their predecessor sets and
-        // watcher lists can never be consulted again.
-        for id in self.meta_base.max(self.base.min(wm))..wm {
-            if id < self.meta_base {
-                continue;
-            }
+        // Newly settled ops are placed everywhere: their predecessor sets
+        // and watcher lists can never be consulted again.
+        for id in old_wm.max(self.meta_base)..wm {
             let m = &mut self.meta[id - self.meta_base];
             m.preds = None;
             m.watchers = Vec::new();
@@ -949,6 +982,27 @@ impl<S: Spec> Monitor<S> {
         self.rebuild_index();
         self.refresh_verdict();
         self.stats.live_configs = self.configs.len() as u64;
+    }
+
+    /// Replays the placed updates `ids` on top of `base` (a settled
+    /// placement prefix being absorbed into a configuration's base states).
+    fn absorb(&self, base: &[S::State], ids: &[usize]) -> StateSet<S::State> {
+        let label = |u: usize| {
+            self.meta[u - self.meta_base]
+                .label
+                .as_ref()
+                .expect("label retained for unabsorbed placements")
+        };
+        let (&first, rest) = ids.split_first().expect("absorbed prefix is non-empty");
+        let mut states = advance_states(&self.spec, base, label(first));
+        for &u in rest {
+            states = advance_states(&self.spec, &states, label(u));
+        }
+        debug_assert!(
+            !states.is_empty(),
+            "absorbed prefix replays a live frontier"
+        );
+        StateSet::new(&self.spec, states)
     }
 
     /// Recomputes every key and rebuilds the dedup index (needed whenever
@@ -996,8 +1050,8 @@ impl<S: Spec> Monitor<S> {
         let mut root = Config {
             mask: vec![0; self.n.div_ceil(64)],
             placed: 0,
-            frontier: vec![self.spec.initial()],
-            qbase: Vec::new(),
+            frontier: Arc::new(vec![self.spec.initial()]),
+            qbase: StateSet::new(&self.spec, Vec::new()),
             rem: Vec::new(),
             qfronts: Vec::new(),
             order: Vec::new(),
@@ -1065,42 +1119,6 @@ pub fn try_search_batch<S: Spec>(
         );
     }
     Some((out, m.stats))
-}
-
-/// The batch engine behind the `ra_search*` facades: monitor closure
-/// first, depth-first memoized fallback (with the caller's full `budget`
-/// and `threads`) when the closure overruns its caps. Outcomes on the
-/// fallback path are byte-identical to the pre-monitor engine.
-pub(crate) fn search_batch_with_stats<S>(
-    h: &History<S::Label>,
-    spec: &S,
-    budget: u64,
-    threads: usize,
-) -> (SearchOutcome, SearchStats)
-where
-    S: Spec + Sync,
-    S::Label: Sync,
-{
-    if budget == 0 {
-        return (SearchOutcome::BudgetExhausted, SearchStats::default());
-    }
-    let t0 = obs::wallclock::now_nanos();
-    match try_search_batch(h, spec, budget.min(BATCH_EXPANSIONS), BATCH_CONFIGS) {
-        Some((out, mstats)) => {
-            let mut stats = mstats.to_search_stats();
-            let dt = obs::wallclock::now_nanos().saturating_sub(t0);
-            stats.busy_nanos = dt;
-            stats.elapsed_nanos = dt;
-            memo::emit_obs(&stats);
-            (out, stats)
-        }
-        None => {
-            if obs::enabled() {
-                obs::counter("monitor.batch_fallback", 1);
-            }
-            memo::search_with_threads_stats(h, spec, budget, threads)
-        }
-    }
 }
 
 /// Incremental mirror of [`crate::history::rewrite_history`]: feeds a
@@ -1253,6 +1271,7 @@ where
 
 #[cfg(test)]
 mod tests {
+    use super::super::memo;
     use super::*;
     use crate::history::OpRecord;
     use crate::label::{Identity, Kind};
@@ -1428,13 +1447,14 @@ mod tests {
     }
 
     #[test]
-    fn batch_caps_trigger_fallback_path() {
+    fn batch_caps_give_no_verdict() {
         let mut h = History::new();
         for i in 0..8 {
             h.push(OpRecord::new(L::Inc, r(i)), []);
         }
         assert!(try_search_batch(&h, &CtrSpec, 3, usize::MAX).is_none());
-        let (out, _) = search_batch_with_stats(&h, &CtrSpec, u64::MAX, 1);
+        assert!(try_search_batch(&h, &CtrSpec, u64::MAX, 3).is_none());
+        let (out, _) = memo::search_with_threads_stats(&h, &CtrSpec, u64::MAX, 1);
         assert!(out.is_linearizable());
     }
 

@@ -183,7 +183,7 @@ where
         threads: usize,
     ) -> (SearchOutcome, SearchStats) {
         let inner = shard.clone().map(|l| l.label);
-        monitor::search_batch_with_stats(&inner, self.inner(), budget, threads)
+        search_with_threads_stats(&inner, self.inner(), budget, threads)
     }
 
     fn admits_shard(
@@ -229,13 +229,13 @@ where
                 EitherLabel::First(a) => a,
                 EitherLabel::Second(_) => unreachable!("shard of object 0 holds First labels only"),
             });
-            monitor::search_batch_with_stats(&inner, self.first(), budget, threads)
+            search_with_threads_stats(&inner, self.first(), budget, threads)
         } else {
             let inner = shard.clone().map(|l| match l {
                 EitherLabel::Second(b) => b,
                 EitherLabel::First(_) => unreachable!("shard of object 1 holds Second labels only"),
             });
-            monitor::search_batch_with_stats(&inner, self.second(), budget, threads)
+            search_with_threads_stats(&inner, self.second(), budget, threads)
         }
     }
 
@@ -426,7 +426,7 @@ where
     let shards = shard_history(h);
     if shards.len() <= 1 {
         // One object: sharding adds nothing over the monolithic engine.
-        let (out, mut stats) = monitor::search_batch_with_stats(h, spec, budget, threads);
+        let (out, mut stats) = search_with_threads_stats(h, spec, budget, threads);
         stats.shards = shards.len() as u64;
         return (out, stats);
     }

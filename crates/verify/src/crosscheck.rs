@@ -15,13 +15,17 @@ use ral_core::history::{rewrite_history, History};
 use ral_core::label::Rewrite;
 use ral_core::ralin::{
     monitor_history, ra_check, ra_search_brute, ra_search_sharded_with_budget,
-    ra_search_with_budget, search_with_budget, SearchOutcome, ShardableSpec, Strategy, Verdict,
+    ra_search_with_budget, try_search_batch, SearchOutcome, ShardableSpec, Strategy, Verdict,
 };
 use ral_core::spec::Spec;
 
 /// Histories at or below this many operations also get the factorial
 /// brute-force reference check (8! orders is still instant; 9! is not).
 pub const BRUTE_CAP: usize = 8;
+
+/// Expansion and live-configuration cap of the level-ordered batch
+/// closure arm ([`try_search_batch`]). Past it that arm gives no verdict.
+const CLOSURE_CAP: u64 = 1 << 16;
 
 /// The combined verdict of all deciders on one history.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -56,8 +60,9 @@ fn outcome_name(o: &SearchOutcome) -> &'static str {
 }
 
 /// Cross-checks a single-object history: guided strategy vs the complete
-/// memoized search, plus the brute-force reference on histories small
-/// enough ([`BRUTE_CAP`]).
+/// memoized search, against the monitor's level-ordered batch closure
+/// (when it decides within 2^16 expansions) and its streaming replay, plus
+/// the brute-force reference on histories small enough ([`BRUTE_CAP`]).
 pub fn op_oracle<In, R, S>(
     h: &History<In>,
     rw: &R,
@@ -71,17 +76,30 @@ where
     S::Label: Sync,
 {
     let guided_ok = ra_check(h, rw, spec, strategy).is_ok();
-    let searched = ra_search_with_budget(h, rw, spec, budget);
-    let memo = search_with_budget(&rewrite_history(h, rw).history, spec, budget);
-    if definite_disagreement(&searched, &memo) {
-        return HistoryVerdict::Disagreement {
-            detail: format!(
-                "monitor batch closure says {} but memo search says {} on {} ops",
-                outcome_name(&searched),
-                outcome_name(&memo),
-                h.len()
-            ),
-        };
+    let mut searched = ra_search_with_budget(h, rw, spec, budget);
+    let rewritten = rewrite_history(h, rw).history;
+    let closure = try_search_batch(
+        &rewritten,
+        spec,
+        budget.min(CLOSURE_CAP),
+        CLOSURE_CAP as usize,
+    );
+    if let Some((closure, _)) = closure {
+        if definite_disagreement(&closure, &searched) {
+            return HistoryVerdict::Disagreement {
+                detail: format!(
+                    "monitor batch closure says {} but memo search says {} on {} ops",
+                    outcome_name(&closure),
+                    outcome_name(&searched),
+                    h.len()
+                ),
+            };
+        }
+        // The closure is complete within its cap: its verdict stands
+        // where the memo search ran out of budget.
+        if searched == SearchOutcome::BudgetExhausted {
+            searched = closure;
+        }
     }
     let (streamed, _) = monitor_history(h, rw, spec);
     if let Some(detail) = streaming_disagreement(streamed, &searched, h.len()) {

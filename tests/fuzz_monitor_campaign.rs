@@ -1,11 +1,11 @@
 //! The streaming monitor under fuzz: a full campaign of generated
 //! scenario streams, every replay cross-checked by the oracle's monitor
-//! arms (batch closure vs memo, end-of-stream streaming verdict vs batch)
-//! alongside the established deciders.
+//! arms (capped batch closure vs memo, end-of-stream streaming verdict vs
+//! memo) alongside the established deciders.
 //!
 //! The shipped CRDT families are correct, so the campaign must end with
 //! zero findings — in particular zero `disagreement` verdicts, which is
-//! exactly the claim "monitor ≡ memo ≡ sharded" over hundreds of
+//! exactly the claim "closure ≡ monitor ≡ memo ≡ sharded" over hundreds of
 //! adversarial delivery schedules. `Exhausted` streaming runs and blown
 //! budgets count as undecided, never as disagreement, so a wide
 //! concurrent window cannot fake a pass *or* a failure here.
